@@ -25,10 +25,12 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import repro.sketch.kernels as kernels
 from registry import BenchSuite, register
 from repro.core.estimator import SketchEstimator
 from repro.covariance.pipeline import CovarianceSketcher
@@ -335,12 +337,29 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     )
 
 
-def bench_backends(results, *, batches, trials, inner, rng):
-    """Kernel-backend axis: numpy vs numba on the same sketch hot paths.
+@contextmanager
+def _kernel_path(name: str):
+    """Pin the kernel path by name for the body of the ``with`` block.
 
-    Sketches are constructed with an *explicit* ``backend=`` (explicit
-    beats the env override), so a CI run forced onto one backend through
-    ``REPRO_KERNEL_BACKEND`` still measures both sides of the axis.
+    Sketches take the compiled path whenever numba is importable, so the
+    numpy side of the axis is reached by pinning the kernels module's
+    one-shot import state (its test seam) to "unavailable".
+    """
+    compiled = kernels.numba_kernels()
+    saved = kernels._jit_checked, kernels._jit_module
+    kernels._jit_checked = True
+    kernels._jit_module = compiled if name == "numba" else None
+    try:
+        yield
+    finally:
+        kernels._jit_checked, kernels._jit_module = saved
+
+
+def bench_backends(results, *, batches, trials, inner, rng):
+    """Kernel-path axis: numpy vs numba on the same sketch hot paths.
+
+    Each side is measured with the path pinned through the kernels seam
+    (:func:`_kernel_path`), so a numba host still measures both sides.
     Records carry ``backend`` + absolute ``seconds``/``updates_per_sec``;
     ``check_regressions`` derives the numba-vs-numpy speedup from pairs of
     records and requires >= 5x on insert when numba is importable.
@@ -349,55 +368,54 @@ def bench_backends(results, *, batches, trials, inner, rng):
         keys = rng.integers(0, 10**12, size=n).astype(np.int64)
         values = rng.standard_normal(n)
         for backend in available_backends():
+            with _kernel_path(backend):
 
-            def make():
-                return CountSketch(
-                    NUM_TABLES, NUM_BUCKETS, seed=1, backend=backend
+                def make():
+                    return CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
+
+                seconds = _best_seconds(
+                    make, lambda sk: sk.insert(keys, values), trials=trials, inner=inner
+                )
+                results.append(
+                    {
+                        "op": "backend_insert",
+                        "backend": backend,
+                        "batch": int(n),
+                        "seconds": seconds,
+                        "updates_per_sec": n / seconds,
+                    }
                 )
 
-            seconds = _best_seconds(
-                make, lambda sk: sk.insert(keys, values), trials=trials, inner=inner
-            )
-            results.append(
-                {
-                    "op": "backend_insert",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
+                warm = make()
+                warm.insert(keys, values)
+                seconds = _best_seconds(
+                    lambda: warm, lambda sk: sk.query(keys), trials=trials, inner=inner
+                )
+                results.append(
+                    {
+                        "op": "backend_query",
+                        "backend": backend,
+                        "batch": int(n),
+                        "seconds": seconds,
+                        "updates_per_sec": n / seconds,
+                    }
+                )
 
-            warm = make()
-            warm.insert(keys, values)
-            seconds = _best_seconds(
-                lambda: warm, lambda sk: sk.query(keys), trials=trials, inner=inner
-            )
-            results.append(
-                {
-                    "op": "backend_query",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
-
-            seconds = _best_seconds(
-                make,
-                lambda sk: sk.insert_and_query(keys, values),
-                trials=trials,
-                inner=inner,
-            )
-            results.append(
-                {
-                    "op": "backend_insert_and_query",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
+                seconds = _best_seconds(
+                    make,
+                    lambda sk: sk.insert_and_query(keys, values),
+                    trials=trials,
+                    inner=inner,
+                )
+                results.append(
+                    {
+                        "op": "backend_insert_and_query",
+                        "backend": backend,
+                        "batch": int(n),
+                        "seconds": seconds,
+                        "updates_per_sec": n / seconds,
+                    }
+                )
 
 
 def backend_speedup(report: dict, op: str = "backend_insert") -> float | None:

@@ -17,7 +17,7 @@ from repro.sketch.base import (
     reject_readonly_counters,
     validate_batch,
 )
-from repro.sketch.kernels import numba_kernels, resolve_backend
+from repro.sketch.kernels import numba_available, numba_kernels
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountMinSketch"]
@@ -42,10 +42,6 @@ class CountMinSketch(ValueSketch):
         Conservative update and ``cap`` both clamp counters through
         non-linear in-place passes expressed in raw units, so they require
         plain float storage; combining them with a quantized dtype raises.
-    backend:
-        Kernel backend, as for :class:`repro.sketch.CountSketch`.  The
-        compiled path covers the linear (non-conservative) insert and the
-        min-of-tables query; conservative update stays on numpy.
     """
 
     def __init__(
@@ -59,7 +55,6 @@ class CountMinSketch(ValueSketch):
         cap: float | None = None,
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         if num_tables < 1:
             raise ValueError(f"num_tables must be >= 1, got {num_tables}")
@@ -71,7 +66,7 @@ class CountMinSketch(ValueSketch):
         self.family = family
         self.conservative = bool(conservative)
         self.cap = None if cap is None else float(cap)
-        # The storage backend owns the (K, R) table and its flat view; the
+        # The counter store owns the (K, R) table and its flat view; the
         # fused kernels address counter (e, b) as raw[e * R + b].
         self._store = CounterStore(
             self.num_tables, self.num_buckets, dtype=dtype, quantum=quantum
@@ -96,11 +91,10 @@ class CountMinSketch(ValueSketch):
         # Compiled-kernel plumbing (see CountSketch): only the fused
         # multiply-shift family with float storage is eligible, and
         # conservative update always stays on the numpy path.
-        self.backend = resolve_backend(backend)
         self._jit_args = None
         bucket = getattr(self._hasher, "_bucket", None)
         if (
-            self.backend == "numba"
+            numba_available()
             and not self.conservative
             and self._store.quantum is None
             and hasattr(bucket, "_a")
@@ -268,7 +262,6 @@ class CountMinSketch(ValueSketch):
             family=self.family,
             conservative=self.conservative,
             cap=self.cap,
-            backend=self.backend,
         )
         clone._store = self._store.copy()
         return clone

@@ -1,9 +1,9 @@
-"""Kernel backend selection for the fused sketch hot paths.
+"""The compiled-or-numpy decision for the fused sketch hot paths.
 
 The scatter/gather/median loop is the entire ingest and query cost of the
 system, so it is worth compiling.  This package holds the two
-implementations of the hot primitives and the knob that picks between
-them:
+implementations of the hot primitives and is the only module that knows
+which one runs:
 
 * :mod:`repro.sketch.kernels.numpy_ref` — the executable specification.
   Standalone numpy implementations of the fused primitives (combined
@@ -14,61 +14,38 @@ them:
 * :mod:`repro.sketch.kernels.numba_jit` — the same primitives compiled
   with numba.  Identical ``(K*R,)`` flat layout, identical uint64 hash
   arithmetic, identical accumulation order, so results are bit-identical
-  to the numpy path (the conformance suite enforces this per backend).
+  to the numpy path (the conformance suite enforces this per path).
 
-Backend selection
------------------
-``resolve_backend(requested)`` maps a request to a concrete backend:
+Path selection
+--------------
+There is no option to set.  A sketch takes the compiled path whenever
+numba is importable (:func:`numba_kernels` returns the module) and its
+configuration is eligible: the fused multiply-shift family, float64
+counters that are not memory-mapped.  Every other case — numba not
+installed, a non-fused hash family, quantized or widened storage,
+serving snapshots — runs the numpy path.  Both paths compute the same
+estimates bit for bit, so the choice changes throughput only.
 
-* an explicit ``backend="numpy"|"numba"|"auto"`` argument wins;
-* otherwise the ``REPRO_KERNEL_BACKEND`` environment variable applies —
-  CI forces either path through it without touching call sites;
-* otherwise ``"auto"``: numba when importable, else numpy.
-
-Requesting ``"numba"`` when numba is not importable **falls back to
-numpy** instead of failing, and emits a one-time structured
-``kernels.fallback`` warning through :mod:`repro.obs` — never
-silent-crash, never silent-slow.  ``"auto"`` falls back silently (that
-is its contract).
-
-The backend is **runtime configuration, not state**: it never enters
-:func:`repro.sketch.serialization.sketch_to_arrays`, so snapshots are
-byte-identical across backends and a file written under one backend
-loads under the other.
+The path is **runtime state of the process, not of the sketch**: it never
+enters :func:`repro.sketch.serialization.sketch_to_arrays`, so snapshots
+are byte-identical across hosts and a file written on a numba host loads
+on a numpy-only one.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.obs.log import get_logger
-
 __all__ = [
-    "VALID_BACKENDS",
-    "ENV_VAR",
-    "resolve_backend",
     "available_backends",
     "numba_available",
     "numba_version",
     "numba_kernels",
-    "reset_fallback_warning",
 ]
 
-#: Accepted values for the ``backend`` knob and the env override.
-VALID_BACKENDS = ("numpy", "numba", "auto")
-
-#: Environment override consulted when no explicit backend is passed.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-_log = get_logger(__name__)
-
-#: Lazy one-shot import state for the compiled module (tests monkeypatch
-#: these two to simulate numba presence/absence deterministically).
+#: Lazy one-shot import state for the compiled module.  This is the test
+#: seam: tests monkeypatch these two to force the numpy path (or a stand-in
+#: module) deterministically, whether or not numba is installed.
 _jit_checked = False
 _jit_module = None
-
-#: One-time guard for the ``kernels.fallback`` warning event.
-_fallback_warned = False
 
 
 def numba_kernels():
@@ -107,63 +84,3 @@ def available_backends() -> tuple[str, ...]:
     if numba_available():
         return ("numpy", "numba")
     return ("numpy",)
-
-
-def reset_fallback_warning() -> None:
-    """Re-arm the one-time fallback warning (test hook)."""
-    global _fallback_warned
-    _fallback_warned = False
-
-
-def _warn_fallback_once(requested_via: str) -> None:
-    global _fallback_warned
-    if _fallback_warned:
-        return
-    _fallback_warned = True
-    _log.warning(
-        "kernels.fallback",
-        requested="numba",
-        via=requested_via,
-        using="numpy",
-        reason="numba is not importable",
-        hint="pip install numba (the 'fast' extra) to enable the JIT backend",
-    )
-
-
-def _validated(value: str, source: str) -> str:
-    value = value.strip().lower()
-    if value not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {value!r} (from {source}); "
-            f"choose from {VALID_BACKENDS}"
-        )
-    return value
-
-
-def resolve_backend(requested: str | None = None) -> str:
-    """Resolve a backend request to a concrete ``"numpy"`` or ``"numba"``.
-
-    Precedence: an explicit ``requested`` string wins; with
-    ``requested=None`` the :data:`ENV_VAR` environment variable applies;
-    absent both, ``"auto"``.  ``"auto"`` resolves to numba when
-    importable and numpy otherwise (silently).  An explicit or
-    env-forced ``"numba"`` without numba installed resolves to numpy
-    and fires the one-time ``kernels.fallback`` warning.
-    """
-    via = "backend argument"
-    if requested is None:
-        env = os.environ.get(ENV_VAR)
-        if env:
-            requested = _validated(env, f"${ENV_VAR}")
-            via = f"${ENV_VAR}"
-        else:
-            requested = "auto"
-            via = "default"
-    else:
-        requested = _validated(requested, "backend argument")
-    if requested == "auto":
-        return "numba" if numba_available() else "numpy"
-    if requested == "numba" and not numba_available():
-        _warn_fallback_once(via)
-        return "numpy"
-    return requested

@@ -2,7 +2,7 @@
 
 Importing this module requires numba; import it through
 :func:`repro.sketch.kernels.numba_kernels`, which treats any import
-failure as "backend unavailable" and lets callers fall back to numpy.
+failure as "numba unavailable" so sketches take the numpy path.
 
 Every kernel implements the contract documented in
 :mod:`repro.sketch.kernels.numpy_ref` with **bit-identical** results:

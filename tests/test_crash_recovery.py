@@ -17,6 +17,10 @@ behaviour, and the serving CheckpointManager's walk-back over
 hand-truncated snapshot files.
 """
 
+import json
+import urllib.error
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,7 @@ from repro.durability.faults import (
     flip_byte,
     truncate_file,
 )
+from repro.serving import ServingEstimator, serve_in_background
 
 pytestmark = pytest.mark.faults
 
@@ -466,6 +471,74 @@ class TestDurableCheckpoints:
         assert stats["journal"]["records_written"] == 3
         assert stats["checkpoints"] == 1
         durable.close()
+
+
+class TestMalformedBatchesNeverJournalled:
+    """A batch that cannot be applied must be refused before the WAL append:
+    a journalled record is replayed by every later recovery, so one that
+    fails on apply would fail every recovery after it."""
+
+    MALFORMED = {
+        "index-out-of-range": [(np.array([1, 500]), np.array([1.0, 2.0]))],
+        "negative-index": [(np.array([-1, 3]), np.array([1.0, 2.0]))],
+        "nan-value": [(np.array([1, 2]), np.array([1.0, np.nan]))],
+        "inf-value": [(np.array([1, 2]), np.array([np.inf, 2.0]))],
+        "misaligned": [(np.array([1, 2, 3]), np.array([1.0, 2.0]))],
+        "two-dimensional": [(np.array([[1, 2]]), np.array([[1.0, 2.0]]))],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_rejected_batch_leaves_no_trace(self, kind, tmp_path):
+        spec = SPECS["float64"]
+        batches = _batches(spec, num_batches=4)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=0)
+        for batch in batches[:2]:
+            durable.fit_sparse(batch)
+        seq_before = durable.journal.last_seq
+        table_before = durable.estimator.sketch.table.copy()
+        # The bad sample rides behind a good one: nothing of the batch lands.
+        bad_batch = batches[2][:1] + self.MALFORMED[kind]
+        with pytest.raises(ValueError):
+            durable.fit_sparse(bad_batch)
+        assert durable.journal.last_seq == seq_before
+        np.testing.assert_array_equal(durable.estimator.sketch.table, table_before)
+        assert np.isfinite(durable.estimator.sketch.table).all()
+        durable.fit_sparse(batches[3])
+        durable.close()
+
+        reference = spec.build_sketcher()
+        for batch in batches[:2] + batches[3:]:
+            reference.fit_sparse(iter(batch))
+        recovered = DurableSketcher.recover(tmp_path)
+        recovered.close()
+        assert recovered.replayed_records == 3
+        _assert_bit_identical(recovered, reference, spec)
+
+    def test_http_ingest_of_malformed_batch_is_400(self, tmp_path):
+        spec = SPECS["float64"]
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=0)
+        serving = ServingEstimator(durable, top_index=16, cache_size=16)
+        server, _ = serve_in_background(serving)
+        try:
+            for samples in (
+                [[[1, 500], [1.0, 2.0]]],
+                [[[1, 2], [1.0, float("nan")]]],
+            ):
+                request = urllib.request.Request(
+                    f"{server.url}/ingest",
+                    data=json.dumps({"samples": samples}).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                assert excinfo.value.code == 400
+            assert durable.journal.last_seq == -1
+        finally:
+            server.shutdown()
+            server.server_close()
+            durable.close()
+        DurableSketcher.recover(tmp_path).close()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.reference import (
     LegacyTopKTracker,
     legacy_sparse_batch_pairs,
 )
-import repro.sketch.kernels as kernels
 from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch, _median_axis0
 from repro.sketch.kernels import available_backends, numba_available, numpy_ref
@@ -37,15 +36,14 @@ needs_numba = pytest.mark.skipif(
 
 
 @pytest.fixture(params=available_backends())
-def backend_env(request, monkeypatch):
-    """Repeat the dependent test under every importable kernel backend.
+def backend_env(request, kernel_path):
+    """Repeat the dependent test under every importable kernel path.
 
-    Forces the backend through the environment knob, so the sketches the
-    test constructs (without an explicit ``backend=``) take that path —
-    exactly how the CI matrix drives the suite.  Locally this may collapse
-    to the numpy path alone; the numba leg runs both.
+    Pins the kernels seam, so the sketches the test constructs take that
+    path.  Locally this may collapse to the numpy path alone; the CI numba
+    leg runs both.
     """
-    monkeypatch.setenv(kernels.ENV_VAR, request.param)
+    kernel_path(request.param)
     return request.param
 
 
@@ -233,9 +231,10 @@ class TestKernelModuleParity:
     @pytest.mark.parametrize("num_buckets", [1024, 1000])  # pow2 and not
     @pytest.mark.parametrize("num_tables", [1, 3, 5])
     def test_numpy_ref_matches_inline_count_sketch(
-        self, num_tables, num_buckets, rng
+        self, num_tables, num_buckets, rng, kernel_path
     ):
-        sk = CountSketch(num_tables, num_buckets, seed=17, backend="numpy")
+        kernel_path("numpy")
+        sk = CountSketch(num_tables, num_buckets, seed=17)
         a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
         flat = np.zeros(num_tables * num_buckets)
         for keys, values in _key_batches(rng):
@@ -280,8 +279,9 @@ class TestKernelModuleParity:
         np.testing.assert_array_equal(out_live, est)
 
     @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng):
-        cm = CountMinSketch(3, num_buckets, seed=19, backend="numpy")
+    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng, kernel_path):
+        kernel_path("numpy")
+        cm = CountMinSketch(3, num_buckets, seed=19)
         a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
         flat = np.zeros(3 * num_buckets)
         for keys, values in _key_batches(rng):
@@ -317,7 +317,7 @@ class TestNumbaModuleParity:
     def test_cs_kernels_bit_identical(self, num_tables, num_buckets, rng):
         from repro.sketch.kernels import numba_jit
 
-        sk = CountSketch(num_tables, num_buckets, seed=23, backend="numpy")
+        sk = CountSketch(num_tables, num_buckets, seed=23)
         a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
         flat_np = np.zeros(num_tables * num_buckets)
         flat_nb = np.zeros(num_tables * num_buckets)
@@ -350,7 +350,7 @@ class TestNumbaModuleParity:
     def test_cm_kernels_bit_identical(self, num_buckets, rng):
         from repro.sketch.kernels import numba_jit
 
-        cm = CountMinSketch(3, num_buckets, seed=29, backend="numpy")
+        cm = CountMinSketch(3, num_buckets, seed=29)
         a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
         flat_np = np.zeros(3 * num_buckets)
         flat_nb = np.zeros(3 * num_buckets)
@@ -373,7 +373,7 @@ class TestNumbaModuleParity:
         # Tie-heavy and NaN-poisoned tables: the scalar min/max pairs in
         # the compiled networks must pick the same operand numpy does.
         for num_tables in (1, 3, 5):
-            sk = CountSketch(num_tables, 64, seed=31, backend="numpy")
+            sk = CountSketch(num_tables, 64, seed=31)
             a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
             flat = rng.integers(-2, 3, size=num_tables * 64).astype(np.float64)
             flat[rng.integers(0, flat.size, size=5)] = np.nan

@@ -1,68 +1,53 @@
-"""The kernel-backend knob: resolution precedence, fallback, integration.
+"""Kernel path selection: platform-chosen, bit-identical, never persisted.
 
-The compiled (numba) backend is optional: these tests exercise the knob's
-*selection contract* deterministically by monkeypatching the package's
-one-shot import state, so they pass identically whether or not numba is
-installed.  Bit-identity of the compiled kernels themselves is enforced by
-``tests/test_fused_kernels.py`` and the conformance suite, which
-parametrize over the backends actually importable in the running process.
+A sketch takes the compiled (numba) path whenever numba is importable and
+its configuration is eligible; there is no option to set.  These tests
+pin the kernels module's one-shot import state (its test seam) to a
+stand-in module or to "unavailable", so they pass identically whether or
+not numba is installed.  Bit-identity of the compiled kernels themselves
+is enforced by ``tests/test_fused_kernels.py`` and the conformance suite,
+which run once per path importable in the running process.
 """
 
-import io
-import json
-import logging
 import pickle
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.sketch.kernels as kernels
-from repro.core.api import build_estimator
 from repro.distributed import (
     ShardSpec,
     merge_shard_results,
     sketch_shard,
 )
-from repro.distributed.shard import spec_from_arrays, spec_to_arrays
-from repro.obs.log import configure
+from repro.distributed.shard import (
+    load_shard_result,
+    save_shard_result,
+    spec_from_arrays,
+    spec_to_arrays,
+)
+from repro.durability import DurableSketcher
+from repro.durability.integrity import INTEGRITY_MEMBERS, write_npz
 from repro.sketch import (
     AugmentedSketch,
     ColdFilterSketch,
     CountMinSketch,
     CountSketch,
     HierarchicalCountSketch,
-    available_backends,
     plan,
-    resolve_backend,
     save_sketch,
 )
-from repro.sketch.planner import CapacityPlan
+from repro.sketch.kernels import available_backends
 from repro.sketch.serialization import sketch_to_arrays
 
 #: Stand-in for the compiled module: enough surface for selection logic
 #: (never called — eligibility tests stop before any kernel runs).
 _FAKE_JIT = types.SimpleNamespace(NUMBA_VERSION="0.0-fake")
 
-
-@pytest.fixture(autouse=True)
-def clean_backend_env(monkeypatch):
-    """Neutral selection state: no env override, fallback warning armed."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.reset_fallback_warning()
-    yield
-    kernels.reset_fallback_warning()
-
-
-@pytest.fixture
-def capture_log():
-    stream = io.StringIO()
-    handler = configure(
-        level="info", stream=stream, logger_name="repro.sketch.kernels"
-    )
-    yield stream
-    logging.getLogger("repro.sketch.kernels").removeHandler(handler)
+#: Values of the ``spec_backend`` member that shard files and durable
+#: recipes written by earlier releases carry.
+LEGACY_BACKENDS = ("numba", "numpy", "auto")
 
 
 def _force_numba(monkeypatch, module):
@@ -71,51 +56,15 @@ def _force_numba(monkeypatch, module):
     monkeypatch.setattr(kernels, "_jit_module", module)
 
 
+def _add_member(path, name, value):
+    """Rewrite an integrity-checked ``.npz`` with one extra member."""
+    with np.load(path, allow_pickle=False) as data:
+        payload = {k: data[k] for k in data.files if k not in INTEGRITY_MEMBERS}
+    payload[name] = np.asarray(value)
+    write_npz(path, payload)
+
+
 class TestResolveBackend:
-    def test_default_is_auto(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend() == "numpy"
-        _force_numba(monkeypatch, _FAKE_JIT)
-        assert resolve_backend() == "numba"
-
-    def test_explicit_values(self, monkeypatch):
-        _force_numba(monkeypatch, _FAKE_JIT)
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("numba") == "numba"
-        assert resolve_backend("auto") == "numba"
-
-    def test_normalisation(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("  NumPy ") == "numpy"
-
-    def test_invalid_argument_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("cuda")
-
-    def test_env_overrides_default(self, monkeypatch):
-        _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert resolve_backend() == "numpy"
-        assert resolve_backend(None) == "numpy"
-
-    def test_invalid_env_raises_with_source(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match=kernels.ENV_VAR):
-            resolve_backend()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        # The bench and the cross-backend tests rely on this: under a
-        # CI-forced env they can still construct both backends explicitly.
-        _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert resolve_backend("numba") == "numba"
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_numba_request_without_numba_falls_back(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("numba") == "numpy"
-
     def test_availability_introspection(self, monkeypatch):
         _force_numba(monkeypatch, None)
         assert not kernels.numba_available()
@@ -127,135 +76,73 @@ class TestResolveBackend:
         assert available_backends() == ("numpy", "numba")
 
 
-class TestFallbackWarning:
-    def test_fires_exactly_once(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("numba") == "numpy"
-        assert resolve_backend("numba") == "numpy"
-        lines = capture_log.getvalue().strip().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["event"] == "kernels.fallback"
-        assert payload["level"] == "warning"
-        assert payload["requested"] == "numba"
-        assert payload["using"] == "numpy"
-        assert payload["via"] == "backend argument"
-
-    def test_env_fallback_names_the_variable(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert resolve_backend() == "numpy"
-        payload = json.loads(capture_log.getvalue().strip())
-        assert payload["via"] == f"${kernels.ENV_VAR}"
-
-    def test_auto_fallback_is_silent(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend() == "numpy"
-        assert capture_log.getvalue() == ""
-
-    def test_rearms_after_reset(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        resolve_backend("numba")
-        kernels.reset_fallback_warning()
-        resolve_backend("numba")
-        assert len(capture_log.getvalue().strip().splitlines()) == 2
-
-
 class TestSketchKnob:
-    def test_sketches_expose_resolved_backend(self):
-        for cls in (CountSketch, CountMinSketch):
-            assert cls(3, 64, seed=1).backend in ("numpy", "numba")
-            assert cls(3, 64, seed=1, backend="numpy").backend == "numpy"
+    """Which path a sketch arms is decided by the platform and its config."""
 
-    def test_numpy_backend_never_arms_jit(self):
-        assert CountSketch(3, 64, backend="numpy")._jit_args is None
-        assert CountMinSketch(3, 64, backend="numpy")._jit_args is None
+    def test_numpy_backend_never_arms_jit(self, monkeypatch):
+        _force_numba(monkeypatch, None)
+        assert CountSketch(3, 64)._jit_args is None
+        assert CountMinSketch(3, 64)._jit_args is None
 
     def test_numba_backend_arms_jit_for_eligible_config(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
-        sk = CountSketch(3, 64, backend="numba")
-        assert sk.backend == "numba" and sk._jit_args is not None
-        cm = CountMinSketch(3, 64, backend="numba")
-        assert cm.backend == "numba" and cm._jit_args is not None
+        assert CountSketch(3, 64)._jit_args is not None
+        assert CountMinSketch(3, 64)._jit_args is not None
 
     def test_ineligible_configs_stay_on_numpy_path(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
         # Non-fused hash family: no combined multiply-shift tables.
-        assert CountSketch(3, 64, family="polynomial", backend="numba")._jit_args is None
+        assert CountSketch(3, 64, family="polynomial")._jit_args is None
         # Quantized storage: compiled kernels require float64 counters.
-        assert CountSketch(3, 64, dtype="int16", backend="numba")._jit_args is None
+        assert CountSketch(3, 64, dtype="int16")._jit_args is None
         # Conservative count-min: the clamp is inherently a numpy pass.
-        cm = CountMinSketch(3, 64, conservative=True, backend="numba")
-        assert cm._jit_args is None
+        assert CountMinSketch(3, 64, conservative=True)._jit_args is None
 
-    def test_explicit_numba_without_numba_falls_back(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        sk = CountSketch(3, 64, backend="numba")
-        assert sk.backend == "numpy" and sk._jit_args is None
-
-    def test_env_reaches_default_construction(self, monkeypatch):
-        _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert CountSketch(3, 64).backend == "numpy"
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert CountSketch(3, 64).backend == "numba"
-
-    def test_wrappers_thread_backend(self):
-        asketch = AugmentedSketch(3, 64, backend="numpy")
-        assert asketch.sketch.backend == "numpy"
-        cold = ColdFilterSketch(3, 64, backend="numpy")
-        assert cold.sketch.backend == "numpy"
-        hcs = HierarchicalCountSketch(3, 64, key_space=1 << 16, backend="numpy")
-        assert all(level.backend == "numpy" for level in hcs._levels)
-
-    def test_copy_preserves_backend(self):
-        sk = CountSketch(3, 64, backend="numpy")
-        assert sk.copy().backend == "numpy"
-        cm = CountMinSketch(3, 64, backend="numpy")
-        assert cm.copy().backend == "numpy"
+    def test_wrappers_thread_backend(self, monkeypatch):
+        # Wrapped sketches take the platform path like bare ones.
+        for module, armed in ((_FAKE_JIT, True), (None, False)):
+            _force_numba(monkeypatch, module)
+            inner = [
+                AugmentedSketch(3, 64).sketch,
+                ColdFilterSketch(3, 64).sketch,
+                *HierarchicalCountSketch(3, 64, key_space=1 << 16)._levels,
+            ]
+            assert all((sk._jit_args is not None) == armed for sk in inner)
 
     def test_pickle_drops_no_state_and_survives_numba_loss(self, monkeypatch):
         # The sketch must never hold the (unpicklable) compiled module —
         # only the argument tuple.  A sketch pickled on a numba host must
         # unpickle and keep working on a numpy-only host.
         _force_numba(monkeypatch, _FAKE_JIT)
-        sk = CountSketch(3, 64, seed=5, backend="numba")
+        sk = CountSketch(3, 64, seed=5)
         clone = pickle.loads(pickle.dumps(sk))
-        assert clone.backend == "numba" and clone._jit_args is not None
+        assert clone._jit_args is not None
         _force_numba(monkeypatch, None)  # "numpy-only host"
         keys = np.arange(50, dtype=np.int64)
         vals = np.linspace(-1, 1, 50)
         clone.insert(keys, vals)
-        ref = CountSketch(3, 64, seed=5, backend="numpy")
+        ref = CountSketch(3, 64, seed=5)
         ref.insert(keys, vals)
         np.testing.assert_array_equal(clone.table, ref.table)
 
-    def test_build_estimator_threads_backend(self):
-        est = build_estimator("cs", 100, 3, 64, backend="numpy")
-        assert est.sketch.backend == "numpy"
-        est = build_estimator("asketch", 100, 3, 64, backend="numpy")
-        assert est.sketch.sketch.backend == "numpy"
-        est = build_estimator("coldfilter", 100, 3, 64, backend="numpy")
-        assert est.sketch.sketch.backend == "numpy"
-
 
 class TestBitIdentityAcrossBackends:
-    """Same stream, every importable backend, byte-for-byte equal state.
+    """Same stream, every importable path, byte-for-byte equal state.
 
     Locally this may collapse to numpy-only; in the CI numba leg it is the
-    real cross-backend check (the conformance suite extends it to every
+    real cross-path check (the conformance suite extends it to every
     registered sketch kind).
     """
 
-    def test_count_sketch_state_and_queries(self):
+    def test_count_sketch_state_and_queries(self, kernel_path):
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 10**12, size=4000)
         vals = rng.standard_normal(4000)
         probe = rng.integers(0, 10**12, size=512)
         reference = None
         for backend in available_backends():
-            sk = CountSketch(5, 1024, seed=3, backend=backend)
+            kernel_path(backend)
+            sk = CountSketch(5, 1024, seed=3)
             sk.insert(keys, vals)
             sk.insert(keys[:7], vals[:7])  # small batch: the add.at strategy
             est = sk.query(probe)
@@ -267,14 +154,15 @@ class TestBitIdentityAcrossBackends:
                 np.testing.assert_array_equal(est, reference[1])
                 np.testing.assert_array_equal(live, reference[2])
 
-    def test_count_min_state_and_queries(self):
+    def test_count_min_state_and_queries(self, kernel_path):
         rng = np.random.default_rng(12)
         keys = rng.integers(0, 10**12, size=3000)
         vals = np.abs(rng.standard_normal(3000))
         probe = rng.integers(0, 10**12, size=512)
         reference = None
         for backend in available_backends():
-            cm = CountMinSketch(3, 1024, seed=3, backend=backend)
+            kernel_path(backend)
+            cm = CountMinSketch(3, 1024, seed=3)
             cm.insert(keys, vals)
             est = cm.query(probe)
             if reference is None:
@@ -286,16 +174,17 @@ class TestBitIdentityAcrossBackends:
 
 class TestSnapshotsAreBackendFree:
     def test_backend_not_serialized(self):
-        arrays = sketch_to_arrays(CountSketch(3, 64, backend="numpy"))
+        arrays = sketch_to_arrays(CountSketch(3, 64))
         assert not any("backend" in name for name in arrays)
 
-    def test_snapshot_files_byte_identical(self, tmp_path):
+    def test_snapshot_files_byte_identical(self, tmp_path, kernel_path):
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 10**9, size=2000)
         vals = rng.standard_normal(2000)
         blobs = []
         for backend in available_backends():
-            sk = CountSketch(3, 256, seed=9, backend=backend)
+            kernel_path(backend)
+            sk = CountSketch(3, 256, seed=9)
             sk.insert(keys, vals)
             path = tmp_path / f"{backend}.npz"
             save_sketch(sk, path)
@@ -304,6 +193,9 @@ class TestSnapshotsAreBackendFree:
 
 
 class TestShardSpecBackend:
+    """Files from earlier releases carry a ``spec_backend`` member; it names
+    no field any more, and every reader ignores it."""
+
     def _spec(self, **kwargs):
         kwargs.setdefault("dim", 16)
         kwargs.setdefault("total_samples", 64)
@@ -311,52 +203,46 @@ class TestShardSpecBackend:
         kwargs.setdefault("num_buckets", 64)
         return ShardSpec(**kwargs)
 
-    def test_default_and_validation(self):
-        assert self._spec().backend == "auto"
-        with pytest.raises(ValueError, match="backend"):
-            self._spec(backend="fortran")
-
-    def test_codec_round_trip(self):
-        spec = self._spec(backend="numpy")
-        assert spec_from_arrays(spec_to_arrays(spec)) == spec
-
-    def test_old_files_pin_numpy(self):
-        # Files written before the backend field existed ran the numpy
-        # path; restoring them must not silently switch to auto/numba.
-        arrays = spec_to_arrays(self._spec())
-        del arrays["spec_backend"]
-        assert spec_from_arrays(arrays).backend == "numpy"
-
-    def test_build_estimator_uses_spec_backend(self):
-        est = self._spec(backend="numpy").build_estimator()
-        assert est.sketch.backend == "numpy"
-
-    def test_merge_accepts_backend_mismatch(self):
-        # Backends are bit-identical, so shards from hosts with different
-        # kernels (or restored legacy "numpy" shards) must merge exactly.
-        rng = np.random.default_rng(21)
-        samples = [
+    @staticmethod
+    def _samples(seed, n=32):
+        rng = np.random.default_rng(seed)
+        return [
             (
                 np.sort(rng.choice(16, size=4, replace=False)).astype(np.int64),
                 rng.standard_normal(4),
             )
-            for _ in range(32)
+            for _ in range(n)
         ]
-        spec_a = self._spec(backend="auto")
-        spec_b = replace(spec_a, backend="numpy")
-        shard_a = sketch_shard(spec_a, samples[:16], shard_index=0, num_shards=2)
-        shard_b = sketch_shard(
-            spec_b, samples[16:], shard_index=1, num_shards=2, start=16
-        )
-        mixed = merge_shard_results([shard_a, shard_b])
-        uniform = merge_shard_results(
-            [
-                shard_a,
-                sketch_shard(
-                    spec_a, samples[16:], shard_index=1, num_shards=2, start=16
-                ),
-            ]
-        )
+
+    def test_codec_round_trip(self):
+        spec = self._spec(storage="int16", quantum=0.01)
+        assert spec_from_arrays(spec_to_arrays(spec)) == spec
+
+    @pytest.mark.parametrize("legacy", LEGACY_BACKENDS)
+    def test_legacy_backend_member_loads(self, legacy):
+        spec = self._spec(method="hcs", storage="int16", quantum=0.01)
+        arrays = spec_to_arrays(spec)
+        arrays["spec_backend"] = np.asarray(legacy)
+        assert spec_from_arrays(arrays) == spec
+
+    def test_merge_accepts_backend_mismatch(self, tmp_path):
+        # Shard files that differ only in the legacy member merge exactly
+        # like files without it.
+        samples = self._samples(21)
+        spec = self._spec()
+        shards = [
+            sketch_shard(spec, samples[:16], shard_index=0, num_shards=2),
+            sketch_shard(
+                spec, samples[16:], shard_index=1, num_shards=2, start=16
+            ),
+        ]
+        loaded = []
+        for shard, legacy in zip(shards, ("numba", "numpy")):
+            path = tmp_path / f"shard-{shard.shard_index}.npz"
+            save_shard_result(shard, path, extra={"spec_backend": legacy})
+            loaded.append(load_shard_result(path))
+        mixed = merge_shard_results(loaded)
+        uniform = merge_shard_results(shards)
         np.testing.assert_array_equal(
             mixed.estimator.sketch.table, uniform.estimator.sketch.table
         )
@@ -373,6 +259,29 @@ class TestShardSpecBackend:
         )
         with pytest.raises(ValueError, match="seed"):
             merge_shard_results([shard_a, shard_b])
+
+    @pytest.mark.parametrize("legacy", LEGACY_BACKENDS)
+    def test_legacy_recipe_recovers_bit_identical(self, legacy, tmp_path):
+        spec = self._spec(total_samples=48)
+        samples = self._samples(23, n=48)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=4)
+        for start in range(0, 48, 8):
+            durable.fit_sparse(samples[start : start + 8])
+        durable.close()
+        for path in [tmp_path / "spec.npz", *tmp_path.glob("ckpt-*.npz")]:
+            _add_member(path, "spec_backend", legacy)
+
+        recovered = DurableSketcher.recover(tmp_path)
+        recovered.close()
+        assert recovered.recovered_from is not None
+        assert recovered.replayed_records == 2
+        reference = spec.build_sketcher()
+        for start in range(0, 48, 8):
+            reference.fit_sparse(iter(samples[start : start + 8]))
+        np.testing.assert_array_equal(
+            recovered.estimator.sketch.table, reference.estimator.sketch.table
+        )
+        assert recovered.samples_seen == reference.samples_seen
 
 
 class TestMemoryBytesReporting:
@@ -392,25 +301,3 @@ class TestMemoryBytesReporting:
         sketch = p.build_sketch(seed=1)
         assert p.measured_bytes_per_counter(sketch) == p.predicted_bytes_per_counter
         assert sketch.memory_bytes == p.predicted_total_bytes
-
-
-class TestPlanBackend:
-    def test_plan_resolves_backend(self):
-        p = plan(n_features=1000, budget_mb=0.25)
-        assert p.kernel_backend == resolve_backend(None)
-        report = p.to_dict()
-        assert report["kernel_backend"] == p.kernel_backend
-        assert "kernels" in report["throughput_note"]
-
-    def test_throughput_note_flags_quantized_plans(self):
-        base = plan(n_features=1000, budget_mb=0.25)
-        numba_int16 = replace(base, kernel_backend="numba")
-        assert "numpy path" in numba_int16.throughput_note
-        numba_f64 = replace(
-            base, kernel_backend="numba", storage="float64", quantum=None
-        )
-        assert "compiled" in numba_f64.throughput_note
-
-    def test_build_sketch_override(self):
-        p = plan(n_features=1000, budget_mb=0.25)
-        assert p.build_sketch(seed=1, backend="numpy").backend == "numpy"
