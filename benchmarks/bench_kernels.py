@@ -26,6 +26,7 @@ import os
 import platform
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,71 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     )
 
 
+#: Dimensions of the per-batch complexity axis (sparse ingest, both modes).
+PIPELINE_DIMS = (10**4, 10**6, 10**7)
+
+#: Largest allowed growth of per-batch ingest time from the smallest to the
+#: largest of ``PIPELINE_DIMS``.  A batch touches O(batch nnz) state in
+#: either value mode, so the time must not grow with ``d``.
+MAX_DIM_SCALING = 2.0
+
+
+def _dim_pipeline(dim, mode, num_samples, batch_size):
+    est = SketchEstimator(
+        CountSketch(NUM_TABLES, NUM_BUCKETS, seed=3), num_samples, track_top=2048
+    )
+    return CovarianceSketcher(dim, est, mode=mode, batch_size=batch_size)
+
+
+def bench_pipeline_dim_scaling(results, *, trials, rng, num_samples):
+    """Per-batch ``fit_sparse`` time across ``d`` in both value modes.
+
+    Same sketch, same values and the same number of non-zeros at every
+    ``d``; only the feature indices are drawn from a wider range.  The
+    per-batch cost must stay flat: anything O(d) per batch (a length-``d``
+    normalisation, say) shows up as a ratio far above 1.
+    """
+    nnz = 32
+    batch_size = 32
+    values = [rng.standard_normal(nnz) for _ in range(num_samples)]
+    for dim in PIPELINE_DIMS:
+        samples = [
+            (rng.choice(dim, size=nnz, replace=False).astype(np.int64), val)
+            for val in values
+        ]
+        for mode in ("covariance", "correlation"):
+            fit_s = _best_seconds(
+                partial(_dim_pipeline, dim, mode, num_samples, batch_size),
+                lambda sk, samples=samples: sk.fit_sparse(iter(samples)),
+                trials=trials,
+                inner=1,
+            )
+            batches = -(-num_samples // batch_size)
+            results.append(
+                {
+                    "op": "pipeline_batch_by_dim",
+                    "mode": mode,
+                    "dim": dim,
+                    "batch": batch_size,
+                    "nnz": nnz,
+                    "seconds": fit_s / batches,
+                    "samples_per_sec": num_samples / fit_s,
+                }
+            )
+
+
+def dim_scaling(report: dict, mode: str) -> float | None:
+    """Per-batch time at the largest ``d`` over the smallest, for ``mode``."""
+    by_dim = {
+        rec["dim"]: rec["seconds"]
+        for rec in report["results"]
+        if rec["op"] == "pipeline_batch_by_dim" and rec["mode"] == mode
+    }
+    if len(by_dim) < 2:
+        return None
+    return by_dim[max(by_dim)] / by_dim[min(by_dim)]
+
+
 @contextmanager
 def _kernel_path(name: str):
     """Pin the kernel path by name for the body of the ``with`` block.
@@ -466,6 +532,9 @@ def run_benchmarks(smoke: bool = False) -> dict:
         results, trials=max(2, trials // 2), rng=rng, num_samples=pipeline_samples
     )
     bench_backends(results, batches=batches, trials=trials, inner=inner, rng=rng)
+    bench_pipeline_dim_scaling(
+        results, trials=max(2, trials // 2), rng=rng, num_samples=pipeline_samples
+    )
 
     def _speedup(op, batch=None):
         for rec in results:
@@ -498,6 +567,8 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "results": results,
     }
     headline["numba_insert_speedup"] = backend_speedup(report)
+    for mode in ("covariance", "correlation"):
+        headline[f"{mode}_dim_scaling"] = dim_scaling(report, mode)
     return report
 
 
@@ -509,7 +580,10 @@ def write_report(report: dict, out_path: Path) -> None:
 def print_report(report: dict) -> None:
     print(f"{'op':<32}{'batch':>8}{'legacy':>12}{'fused':>12}{'speedup':>9}")
     for rec in report["results"]:
-        if "speedup" in rec:
+        if rec["op"] == "pipeline_batch_by_dim":
+            label = f"pipeline_batch[{rec['mode']},d={rec['dim']:.0e}]"
+            print(f"{label:<40}{rec['batch']:>8}{rec['seconds'] * 1e3:>10.2f}ms")
+        elif "speedup" in rec:
             print(
                 f"{rec['op']:<32}{rec['batch']:>8}"
                 f"{rec['legacy_seconds'] * 1e6:>10.1f}us"
@@ -542,8 +616,9 @@ NUMBA_MIN_INSERT_SPEEDUP = 5.0
 
 def _check(report: dict) -> list:
     """CI gate: no fused kernel may regress below parity with the
-    reference, and — when the report carries a numba leg — the compiled
-    insert path must actually pay for itself."""
+    reference, sparse ingest per batch must not grow with ``d``, and —
+    when the report carries a numba leg — the compiled insert path must
+    actually pay for itself."""
     problems = []
     regressions = [
         rec["op"]
@@ -561,6 +636,15 @@ def _check(report: dict) -> list:
             problems.append(
                 f"numba insert speedup {ratio:.1f}x is below the "
                 f"{NUMBA_MIN_INSERT_SPEEDUP:.0f}x floor over numpy"
+            )
+    # A ratio within one run holds on any host, so this gate is unconditional.
+    for mode in ("covariance", "correlation"):
+        ratio = dim_scaling(report, mode)
+        if ratio is not None and ratio > MAX_DIM_SCALING:
+            problems.append(
+                f"{mode}-mode ingest per batch grows {ratio:.1f}x from "
+                f"d={PIPELINE_DIMS[0]:.0e} to d={PIPELINE_DIMS[-1]:.0e} "
+                f"(ceiling {MAX_DIM_SCALING:.0f}x)"
             )
     return problems
 

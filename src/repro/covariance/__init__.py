@@ -8,7 +8,11 @@ from repro.covariance.ground_truth import (
     signal_threshold,
     top_true_pairs,
 )
-from repro.covariance.pipeline import CovarianceSketcher
+from repro.covariance.pipeline import (
+    CovarianceSketcher,
+    InvalidBatchError,
+    validate_samples,
+)
 from repro.covariance.running import ExactCovariance, RunningMoments, SparseMoments
 from repro.covariance.updates import (
     adjustment_matrix,
@@ -22,6 +26,7 @@ from repro.covariance.updates import (
 __all__ = [
     "CovarianceSketcher",
     "ExactCovariance",
+    "InvalidBatchError",
     "RunningMoments",
     "SparseMoments",
     "adjustment_matrix",
@@ -36,4 +41,5 @@ __all__ = [
     "sparse_sample_pairs",
     "top_true_pairs",
     "triu_pair_values",
+    "validate_samples",
 ]

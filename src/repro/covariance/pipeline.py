@@ -34,10 +34,55 @@ from repro.covariance.updates import (
 from repro.hashing.pairs import index_to_pair, num_pairs
 from repro.sketch.topk import scan_top_keys
 
-__all__ = ["CovarianceSketcher"]
+__all__ = ["CovarianceSketcher", "InvalidBatchError", "validate_samples"]
 
 _CENTERING_MODES = ("none", "running", "exact")
 _VALUE_MODES = ("covariance", "correlation")
+
+
+class InvalidBatchError(ValueError):
+    """A sparse ingest batch that cannot be applied as given.
+
+    The caller's input is at fault, not the write path: the HTTP layer
+    answers 400 and the ingest circuit breaker does not count it.
+    """
+
+
+def validate_samples(samples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a batch of sparse ``(indices, values)`` samples before any state
+    changes, and return its concatenated ``indices``, ``values`` and the
+    per-sample ``lengths``.
+
+    Every entry point runs this before it mutates anything or journals the
+    batch: aligned 1-D samples, indices in ``[0, dim)`` and unique within
+    each sample, finite values.  Raises :class:`InvalidBatchError`.
+    """
+    try:
+        pairs = [
+            (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
+            for idx, val in samples
+        ]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidBatchError(
+            "each sample must be an (indices, values) pair of numbers"
+        ) from exc
+    if any(idx.ndim != 1 or idx.shape != val.shape for idx, val in pairs):
+        raise InvalidBatchError("each sample must hold aligned 1-D indices and values")
+    lengths = np.asarray([idx.size for idx, _ in pairs], dtype=np.int64)
+    if not pairs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), lengths
+    indices = np.concatenate([idx for idx, _ in pairs])
+    values = np.concatenate([val for _, val in pairs])
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= dim:
+            raise InvalidBatchError(f"sample indices must lie in [0, {dim})")
+        if not np.isfinite(values).all():
+            raise InvalidBatchError("sample values must be finite")
+        owner = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        keys = np.sort(owner * dim + indices)
+        if (keys[1:] == keys[:-1]).any():
+            raise InvalidBatchError("sample indices must be unique within each sample")
+    return indices, values, lengths
 
 
 class CovarianceSketcher:
@@ -194,17 +239,12 @@ class CovarianceSketcher:
 
     def _ingest_sparse_batch(self, batch: list[tuple[np.ndarray, np.ndarray]]) -> None:
         b = len(batch)
-        idx_arrays = [np.asarray(s[0], dtype=np.int64) for s in batch]
-        val_arrays = [np.asarray(s[1], dtype=np.float64) for s in batch]
-        if any(i.size != v.size for i, v in zip(idx_arrays, val_arrays)):
-            raise ValueError("indices and values must align")
-        lengths = np.asarray([a.size for a in idx_arrays], dtype=np.int64)
-        all_idx = np.concatenate(idx_arrays)
-        all_val = np.concatenate(val_arrays)
+        all_idx, all_val, lengths = validate_samples(batch, self.dim)
         self.sparse_moments.update_batch(all_idx, all_val, num_samples=b)
 
         if self.mode == "correlation" and all_idx.size:
-            all_val = all_val / self.sparse_moments.std(floor=self.std_floor)[all_idx]
+            # Only the touched features' stds: O(batch nnz), not O(d).
+            all_val = all_val / self.sparse_moments.std(self.std_floor, indices=all_idx)
 
         # One fused kernel expands every sample's m*(m-1)/2 pairs at once —
         # identical output to looping sparse_sample_pairs per sample.

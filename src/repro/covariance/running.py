@@ -179,14 +179,20 @@ class SparseMoments:
             return np.zeros(self.dim)
         return self._sum / self.count
 
-    def variance(self) -> np.ndarray:
+    def variance(self, indices: np.ndarray | None = None) -> np.ndarray:
+        """Per-feature variance; with ``indices``, exactly
+        ``variance()[indices]`` at O(len(indices)) instead of O(d) cost."""
+        total = self._sum if indices is None else self._sum[indices]
         if self.count == 0:
-            return np.full(self.dim, np.nan)
-        mean = self._sum / self.count
-        return np.maximum(self._sumsq / self.count - mean * mean, 0.0)
+            return np.full(total.shape, np.nan)
+        squares = self._sumsq if indices is None else self._sumsq[indices]
+        mean = total / self.count
+        return np.maximum(squares / self.count - mean * mean, 0.0)
 
-    def std(self, floor: float = 0.0) -> np.ndarray:
-        return np.maximum(np.sqrt(self.variance()), floor)
+    def std(self, floor: float = 0.0, indices: np.ndarray | None = None) -> np.ndarray:
+        """Floored per-feature std; ``indices`` restricts it to those
+        features (bit-identical to ``std(floor)[indices]``)."""
+        return np.maximum(np.sqrt(self.variance(indices)), floor)
 
 
 class ExactCovariance:

@@ -48,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.covariance.pipeline import validate_samples
 from repro.distributed.shard import (
     ShardSpec,
     extract_shard_result,
@@ -81,28 +82,6 @@ _CORRUPTION_ERRORS = (
     zlib.error,
     struct.error,
 )
-
-
-def _check_batch(batch: list, dim: int) -> None:
-    """Reject a malformed ingest batch before it is journalled.
-
-    Every later recovery replays each journalled record, so a record that
-    fails while being applied would fail every recovery after it.  One
-    pass over the concatenated batch checks what applying it needs —
-    aligned 1-D samples, indices in ``[0, dim)``, finite values — and
-    raises ``ValueError`` (an HTTP 400) instead.
-    """
-    pairs = [
-        (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
-        for idx, val in batch
-    ]
-    if any(idx.ndim != 1 or idx.shape != val.shape for idx, val in pairs):
-        raise ValueError("each sample must hold aligned 1-D indices and values")
-    indices = np.concatenate([idx for idx, _ in pairs])
-    if indices.size and (indices.min() < 0 or indices.max() >= dim):
-        raise ValueError(f"sample indices must lie in [0, {dim})")
-    if not np.isfinite(np.concatenate([val for _, val in pairs])).all():
-        raise ValueError("sample values must be finite")
 
 
 class DurableSketcher:
@@ -536,13 +515,15 @@ class DurableSketcher:
         write side — so a crash at any byte leaves either "not
         acknowledged, not applied" (safe to resend) or "acknowledged and
         replayable".  Empty batches are not journalled, and a malformed
-        batch raises ``ValueError`` before anything is journalled or
-        applied.
+        batch raises :class:`~repro.covariance.InvalidBatchError` (see
+        :func:`~repro.covariance.validate_samples`) before anything is
+        journalled or applied: a journalled record is replayed by every
+        later recovery, so one that failed on apply would fail them all.
         """
         batch = samples if isinstance(samples, list) else list(samples)
         if not batch:
             return self
-        _check_batch(batch, self.spec.dim)
+        validate_samples(batch, self.spec.dim)
         self.journal.append(batch)
         self._inner.fit_sparse(iter(batch))
         self._records_since_checkpoint += 1

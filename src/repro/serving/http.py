@@ -414,7 +414,7 @@ def _route_ingest(server, query, handler) -> dict:
             (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
             for idx, val in raw
         ]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _HTTPError(
             400, "each sample must be an [indices, values] pair of flat lists"
         )

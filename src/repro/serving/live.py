@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.covariance.pipeline import CovarianceSketcher
+from repro.covariance.pipeline import CovarianceSketcher, validate_samples
 from repro.durability.breaker import CircuitBreaker
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.serving.engine import QueryEngine
@@ -317,15 +317,21 @@ class ServingEstimator:
     def ingest_sparse(self, samples) -> None:
         """Stream sparse ``(indices, values)`` samples into the write side.
 
-        Guarded by the ingest circuit breaker: while the write path is
-        failing repeatedly, calls are rejected instantly with
+        The whole call is validated first
+        (:func:`~repro.covariance.validate_samples`): a malformed one
+        raises :class:`~repro.covariance.InvalidBatchError` and leaves no
+        trace.  Rejected input is the client's fault, so it never reaches
+        the ingest circuit breaker, which guards the write path itself:
+        while that fails repeatedly, calls are rejected instantly with
         :class:`~repro.durability.CircuitOpenError` instead of queueing on
         the write lock.
         """
+        batch = samples if isinstance(samples, list) else list(samples)
+        validate_samples(batch, self.sketcher.dim)
         self.breaker.before_call()
         try:
             with self._ingest_seconds.time(), self._write_lock:
-                self.sketcher.fit_sparse(iter(samples))
+                self.sketcher.fit_sparse(iter(batch))
         except Exception:
             self.breaker.record_failure()
             raise

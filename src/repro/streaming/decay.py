@@ -93,14 +93,20 @@ class _LazyDecayedMoments:
             return np.zeros(self.dim)
         return self._sum / self._weight
 
-    def variance(self) -> np.ndarray:
+    def variance(self, indices: np.ndarray | None = None) -> np.ndarray:
+        """Per-feature decayed variance; with ``indices``, exactly
+        ``variance()[indices]`` at O(len(indices)) instead of O(d) cost."""
+        total = self._sum if indices is None else self._sum[indices]
         if self._weight == 0.0:
-            return np.full(self.dim, np.nan)
-        mean = self._sum / self._weight
-        return np.maximum(self._sumsq / self._weight - mean * mean, 0.0)
+            return np.full(total.shape, np.nan)
+        squares = self._sumsq if indices is None else self._sumsq[indices]
+        mean = total / self._weight
+        return np.maximum(squares / self._weight - mean * mean, 0.0)
 
-    def std(self, floor: float = 0.0) -> np.ndarray:
-        return np.maximum(np.sqrt(self.variance()), floor)
+    def std(self, floor: float = 0.0, indices: np.ndarray | None = None) -> np.ndarray:
+        """Floored per-feature std; ``indices`` restricts it to those
+        features (bit-identical to ``std(floor)[indices]``)."""
+        return np.maximum(np.sqrt(self.variance(indices)), floor)
 
 
 class DecayedSparseMoments(_LazyDecayedMoments):

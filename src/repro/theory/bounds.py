@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "theorem1_miss_probability",
     "omega_squared",
     "theorem2_escape_probability",
+    "theorem2_escape_probabilities",
     "snr_count_sketch",
     "theorem3_snr_lower_bound",
     "theorem3_snr_ratio",
@@ -165,19 +168,34 @@ def theorem2_escape_probability(
           * Phi((T0 (2 theta - u) - tau0 T) / (sqrt(T0) omega))``,
     clipped to [0, 1].
     """
-    if not 0.0 <= theta < model.u:
-        raise ValueError(f"theta must be in [0, u={model.u}), got {theta}")
+    return float(theorem2_escape_probabilities(model, t0, tau0, [theta])[0])
+
+
+def theorem2_escape_probabilities(
+    model: ProblemModel, t0: float, tau0: float, thetas
+) -> np.ndarray:
+    """:func:`theorem2_escape_probability` over a 1-D array of slopes at once.
+
+    Bit-identical to the scalar bound at every ``theta``: the arithmetic
+    is the same IEEE operations in the same order, ``log Phi`` is the same
+    ``log_ndtr`` kernel ``norm.logcdf`` dispatches to, and the final
+    ``exp`` stays ``math.exp`` per element (``np.exp`` can differ from it
+    in the last ulp).
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    bad = thetas[~((thetas >= 0.0) & (thetas < model.u))]
+    if bad.size:
+        raise ValueError(f"theta must be in [0, u={model.u}), got {bad[0]}")
     if t0 <= 0:
-        return 1.0
+        return np.ones(thetas.size)
     om2 = omega_squared(model)
     om = math.sqrt(om2)
-    log_factor = (model.u - theta) * (tau0 - t0 * theta / model.T) / om2
-    z = (t0 * (2.0 * theta - model.u) - tau0 * model.T) / (math.sqrt(t0) * om)
+    log_factor = (model.u - thetas) * (tau0 - t0 * thetas / model.T) / om2
+    z = (t0 * (2.0 * thetas - model.u) - tau0 * model.T) / (math.sqrt(t0) * om)
     # Multiply in log space; the exp factor can overflow for aggressive
     # schedules before the clip.
-    log_phi = norm.logcdf(z)
-    value = math.exp(min(log_factor + log_phi, 0.0))
-    return float(min(max(value, 0.0), 1.0))
+    log_values = (log_factor + log_ndtr(z)).tolist()
+    return np.array([min(max(math.exp(min(x, 0.0)), 0.0), 1.0) for x in log_values])
 
 
 def snr_count_sketch(model: ProblemModel) -> float:

@@ -27,6 +27,7 @@ from repro.theory.bounds import (
     ProblemModel,
     saturation_probability,
     theorem1_miss_probability,
+    theorem2_escape_probabilities,
     theorem2_escape_probability,
 )
 
@@ -127,9 +128,7 @@ def find_threshold_slope(
     if budget <= 0.0:
         return None
     thetas = np.linspace(0.0, model.u, grid, endpoint=False)[1:]
-    feasible = np.array(
-        [theorem2_escape_probability(model, t0, tau0, th) <= budget for th in thetas]
-    )
+    feasible = theorem2_escape_probabilities(model, t0, tau0, thetas) <= budget
     if not feasible.any():
         return None
     best = float(thetas[np.nonzero(feasible)[0][-1]])

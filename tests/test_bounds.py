@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from repro.theory.bounds import (
     ProblemModel,
@@ -14,6 +16,7 @@ from repro.theory.bounds import (
     saturation_probability,
     snr_count_sketch,
     theorem1_miss_probability,
+    theorem2_escape_probabilities,
     theorem2_escape_probability,
     theorem3_snr_lower_bound,
     theorem3_snr_ratio,
@@ -150,6 +153,32 @@ class TestTheorem2:
         gentle = theorem2_escape_probability(m, 600, 0.0, 0.05)
         aggressive = theorem2_escape_probability(m, 600, 0.0, 0.49)
         assert aggressive >= gentle
+
+    @pytest.mark.parametrize("t0", [0, 1, 30, 600])
+    @pytest.mark.parametrize("tau0", [0.0, 1e-4, 1e-2])
+    def test_grid_matches_scalar_formula_bitwise(self, t0, tau0):
+        """The array form equals the scalar statement of the bound, computed
+        with ``norm.logcdf`` and ``math.exp`` one theta at a time."""
+        m = model()
+
+        def scalar(theta):
+            if t0 <= 0:
+                return 1.0
+            om2 = omega_squared(m)
+            om = math.sqrt(om2)
+            log_factor = (m.u - theta) * (tau0 - t0 * theta / m.T) / om2
+            z = (t0 * (2.0 * theta - m.u) - tau0 * m.T) / (math.sqrt(t0) * om)
+            value = math.exp(min(log_factor + norm.logcdf(z), 0.0))
+            return float(min(max(value, 0.0), 1.0))
+
+        thetas = np.linspace(0.0, m.u, 4096, endpoint=False)
+        grid = theorem2_escape_probabilities(m, t0, tau0, thetas)
+        expected = np.array([scalar(float(th)) for th in thetas])
+        assert grid.tobytes() == expected.tobytes()
+
+    def test_grid_rejects_theta_out_of_range(self):
+        with pytest.raises(ValueError, match="theta"):
+            theorem2_escape_probabilities(model(), 600, 1e-4, [0.1, 0.5])
 
     def test_omega_k1_vs_k5(self):
         assert omega_squared(model(num_tables=5)) <= omega_squared(model(num_tables=1))

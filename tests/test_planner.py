@@ -137,6 +137,32 @@ class TestPlanHyperparameters:
         ramp = plan.threshold_at(T, T)
         assert ramp == pytest.approx(plan.tau0 + plan.theta * (T - t0) / T)
 
+    @pytest.mark.parametrize(
+        "make, budgets, expected",
+        [
+            (easy_model, {}, (30, 0.3137712518617207, 0.05, 0.2, False)),
+            (saturated_model, {}, (200, 0.11390292663288762, 0.5, 0.65, True)),
+            (
+                lambda: easy_model(u=0.4),
+                {"delta": 0.07, "delta_star": 0.22},
+                (34, 0.11849047005739227, 0.07, 0.22, False),
+            ),
+        ],
+    )
+    def test_plans_are_pinned(self, make, budgets, expected):
+        """The grid search returns these plans exactly (floats by repr)."""
+        model = make()
+        t0, theta, delta, delta_star, used_fallback = expected
+        assert plan_hyperparameters(model, **budgets) == ASCSPlan(
+            exploration_length=t0,
+            tau0=1e-4,
+            theta=theta,
+            delta=delta,
+            delta_star=delta_star,
+            saturation=saturation_probability(model),
+            used_fallback=used_fallback,
+        )
+
     def test_plan_theta_below_u(self):
         for u in (0.1, 0.5, 1.0, 3.0):
             plan = plan_hyperparameters(easy_model(u=u))

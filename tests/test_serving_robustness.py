@@ -14,6 +14,8 @@ deterministic fault injectors:
 
 from __future__ import annotations
 
+import errno
+import json
 import threading
 import urllib.error
 import urllib.request
@@ -22,9 +24,10 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import SketchEstimator
-from repro.covariance.pipeline import CovarianceSketcher
+from repro.covariance.pipeline import CovarianceSketcher, InvalidBatchError
 from repro.durability.breaker import CircuitBreaker, CircuitOpenError
 from repro.durability.faults import Flaky
+from repro.durability.integrity import IntegrityError
 from repro.serving import ServingEstimator
 from repro.serving.http import ServingClient, serve_in_background
 from repro.sketch.count_sketch import CountSketch
@@ -64,6 +67,16 @@ def _make_serving(rng, **kwargs) -> ServingEstimator:
 
 def _no_sleep(_seconds):
     pass
+
+
+def _failing_write_side(serving, failures):
+    """Make the write side's next ``failures`` ingests fail as a full
+    disk would — a fault of the write path, not of the input."""
+    serving.sketcher.fit_sparse = Flaky(
+        serving.sketcher.fit_sparse,
+        failures=failures,
+        exc_factory=lambda: OSError(errno.ENOSPC, "injected: disk full"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +233,10 @@ class TestStaleButAvailable:
                 failure_threshold=2, reset_after=30.0, time_fn=lambda: clock[0]
             ),
         )
-        bad = [(np.asarray([0, 99999]), np.asarray([1.0, 2.0]))]
+        _failing_write_side(serving, failures=2)
         for _ in range(2):
-            with pytest.raises((ValueError, IndexError)):
-                serving.ingest_sparse(bad)
+            with pytest.raises(OSError):
+                serving.ingest_sparse(_make_samples(4, rng))
         assert serving.breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             serving.ingest_sparse(_make_samples(4, rng))
@@ -235,6 +248,93 @@ class TestStaleButAvailable:
         serving.ingest_sparse(_make_samples(4, rng))
         assert serving.breaker.state == "closed"
         assert serving.health()["status"] == "ok"
+
+
+def _state_bytes(sketcher) -> bytes:
+    est = sketcher.estimator
+    keys, estimates = est.tracker.snapshot()
+    moments = sketcher.sparse_moments
+    return b"".join(
+        [
+            est.sketch.table.tobytes(),
+            moments._sum.tobytes(),
+            moments._sumsq.tobytes(),
+            keys.tobytes(),
+            estimates.tobytes(),
+            repr((moments.count, sketcher.samples_seen, est.samples_seen)).encode(),
+        ]
+    )
+
+
+class TestRejectedInputNeverTripsTheBreaker:
+    """Malformed input is the client's fault: it is refused before the
+    breaker sees the call, so it can neither open the circuit nor leave a
+    trace in the write side."""
+
+    MALFORMED = [
+        [(np.asarray([0, 99999]), np.asarray([1.0, 2.0]))],
+        [(np.asarray([-1, 3]), np.asarray([1.0, 2.0]))],
+        [(np.asarray([1, 2]), np.asarray([1.0, np.nan]))],
+        [(np.asarray([4, 4]), np.asarray([1.0, 2.0]))],
+        [(np.asarray([1, 2, 3]), np.asarray([1.0, 2.0]))],
+    ]
+
+    def test_malformed_batches_then_good_one_is_accepted(self, rng):
+        serving = _make_serving(
+            rng, breaker=CircuitBreaker(failure_threshold=5, reset_after=30.0)
+        )
+        before = _state_bytes(serving.sketcher)
+        for n in range(10):
+            # The bad sample rides behind more good ones than one write-side
+            # batch holds: the whole call is refused, so nothing lands.
+            bad = _make_samples(17, rng) + self.MALFORMED[n % len(self.MALFORMED)]
+            with pytest.raises(InvalidBatchError):
+                serving.ingest_sparse(bad)
+        assert _state_bytes(serving.sketcher) == before
+        assert serving.breaker.stats()["consecutive_failures"] == 0
+        serving.ingest_sparse(_make_samples(4, rng))
+        assert serving.breaker.state == "closed"
+        assert serving.sketcher.samples_seen == 64 + 4
+
+    def test_integrity_error_still_counts(self, rng):
+        serving = _make_serving(
+            rng, breaker=CircuitBreaker(failure_threshold=2, reset_after=30.0)
+        )
+        serving.sketcher.fit_sparse = Flaky(
+            serving.sketcher.fit_sparse,
+            failures=2,
+            exc_factory=lambda: IntegrityError("injected: torn WAL record"),
+        )
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
+                serving.ingest_sparse(_make_samples(4, rng))
+        assert serving.breaker.state == "open"
+
+    def test_malformed_http_ingest_is_400_and_breaker_stays_closed(self, rng):
+        serving = _make_serving(
+            rng, breaker=CircuitBreaker(failure_threshold=1, reset_after=30.0)
+        )
+        server, _thread = serve_in_background(serving)
+        try:
+            client = ServingClient(server.url, retries=0)
+            for _ in range(3):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    client.ingest([(np.asarray([2, 2]), np.asarray([1.0, 1.0]))])
+                assert excinfo.value.code == 400
+            # An index too large for int64 is a 400 too, not a 500.
+            request = urllib.request.Request(
+                f"{server.url}/ingest",
+                data=json.dumps({"samples": [[[10**30], [1.0]]]}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            assert serving.breaker.state == "closed"
+            client.ingest(_make_samples(2, rng))
+        finally:
+            server.stop(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +433,9 @@ class TestServerDegradation:
         server, _thread = serve_in_background(serving)
         try:
             client = ServingClient(server.url, retries=0)
-            with pytest.raises((ValueError, IndexError)):
-                serving.ingest_sparse(
-                    [(np.asarray([0, 99999]), np.asarray([1.0, 2.0]))]
-                )
+            _failing_write_side(serving, failures=1)
+            with pytest.raises(OSError):
+                serving.ingest_sparse(_make_samples(2, rng))
             assert serving.breaker.state == "open"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 client.ingest(_make_samples(2, rng))
