@@ -38,6 +38,7 @@ __all__ = ["CovarianceSketcher", "InvalidBatchError", "validate_samples"]
 
 _CENTERING_MODES = ("none", "running", "exact")
 _VALUE_MODES = ("covariance", "correlation")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class InvalidBatchError(ValueError):
@@ -46,6 +47,30 @@ class InvalidBatchError(ValueError):
     The caller's input is at fault, not the write path: the HTTP layer
     answers 400 and the ingest circuit breaker does not count it.
     """
+
+
+def as_index_array(raw) -> np.ndarray:
+    """``raw`` as int64 indices, refusing entries a cast would bend.
+
+    ``np.asarray(raw, dtype=np.int64)`` truncates floats, parses numeric
+    strings, reads booleans as 0/1 and overflows on huge ints; here every
+    entry must already be an integer within int64 (empty input passes),
+    else ``ValueError``.
+    """
+    arr = np.asarray(raw)
+    kind = arr.dtype.kind
+    if arr.size and (kind not in "iu" or (kind == "u" and arr.max() > _INT64_MAX)):
+        raise ValueError("indices must be integers within the int64 range")
+    return arr.astype(np.int64, copy=False)
+
+
+def as_sample(indices, values) -> tuple[np.ndarray, np.ndarray]:
+    """One sample as int64 indices (see :func:`as_index_array`) and float64
+    values; values that are not numbers (strings, booleans) raise too."""
+    val = np.asarray(values)
+    if val.size and val.dtype.kind not in "iuf":
+        raise ValueError("sample values must be numbers")
+    return as_index_array(indices), val.astype(np.float64, copy=False)
 
 
 def validate_samples(samples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,13 +83,10 @@ def validate_samples(samples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     each sample, finite values.  Raises :class:`InvalidBatchError`.
     """
     try:
-        pairs = [
-            (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
-            for idx, val in samples
-        ]
+        pairs = [as_sample(idx, val) for idx, val in samples]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidBatchError(
-            "each sample must be an (indices, values) pair of numbers"
+            "each sample must pair integer indices with numeric values"
         ) from exc
     if any(idx.ndim != 1 or idx.shape != val.shape for idx, val in pairs):
         raise InvalidBatchError("each sample must hold aligned 1-D indices and values")

@@ -74,6 +74,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from repro.covariance.pipeline import as_index_array, as_sample
 from repro.durability.breaker import CircuitOpenError
 from repro.obs.metrics import MetricsRegistry, render_exposition
 from repro.serving.engine import QueryEngine
@@ -380,8 +381,8 @@ def _route_above(server, query, handler) -> dict:
 def _as_index_array(raw, what: str) -> np.ndarray:
     """Coerce a JSON field to an int64 array, as a *client* error on junk."""
     try:
-        return np.asarray(raw, dtype=np.int64)
-    except (TypeError, ValueError):
+        return as_index_array(raw)
+    except (TypeError, ValueError, OverflowError):
         raise _HTTPError(400, f"{what} must be a flat list of integers")
 
 
@@ -410,13 +411,10 @@ def _route_ingest(server, query, handler) -> dict:
     if not isinstance(raw, list):
         raise _HTTPError(400, "body must contain 'samples': [[indices, values], ...]")
     try:
-        samples = [
-            (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
-            for idx, val in raw
-        ]
+        samples = [as_sample(idx, val) for idx, val in raw]
     except (TypeError, ValueError, OverflowError):
         raise _HTTPError(
-            400, "each sample must be an [indices, values] pair of flat lists"
+            400, "each sample must be [indices, values]: flat integer/number lists"
         )
     serving.ingest_sparse(samples)
     return {

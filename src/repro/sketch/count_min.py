@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.families import MultiTableHasher, _keys_as_u64
+from repro.hashing.families import MultiTableHasher
 from repro.sketch.base import (
     ValueSketch,
     ensure_mergeable,
     reject_readonly_counters,
     validate_batch,
 )
-from repro.sketch.kernels import numba_available, numba_kernels
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountMinSketch"]
@@ -88,44 +87,6 @@ class CountMinSketch(ValueSketch):
             [int(children[e].generate_state(1)[0]) for e in range(self.num_tables)],
         )
 
-        # Compiled-kernel plumbing (see CountSketch): only the fused
-        # multiply-shift family with float storage is eligible, and
-        # conservative update always stays on the numpy path.
-        self._jit_args = None
-        bucket = getattr(self._hasher, "_bucket", None)
-        if (
-            numba_available()
-            and not self.conservative
-            and self._store.quantum is None
-            and hasattr(bucket, "_a")
-        ):
-            mask = self._hasher._bucket_mask
-            self._jit_args = (
-                bucket._a.ravel(),
-                bucket._b.ravel(),
-                self._offsets_u64.ravel(),
-                np.uint64(self.num_buckets),
-                np.uint64(0) if mask is None else mask,
-                mask is not None,
-            )
-
-    def _jit_kernels(self, flat_needed_writable: bool):
-        """``(module, flat)`` for the compiled path, or ``None``."""
-        if self._jit_args is None:
-            return None
-        store = self._store
-        if store.quantum is not None or store.dtype != np.float64:
-            return None
-        raw = store.raw
-        if isinstance(raw, np.memmap):
-            return None
-        module = numba_kernels()
-        if module is None:  # pragma: no cover - unpickled without numba
-            return None
-        if flat_needed_writable:
-            reject_readonly_counters(raw)
-        return module, raw
-
     @property
     def table(self) -> np.ndarray:
         """The ``(K, R)`` counter table (raw storage units)."""
@@ -175,29 +136,13 @@ class CountMinSketch(ValueSketch):
                 np.broadcast_to(target, fi.shape).ravel(),
             )
         else:
-            jit = self._jit_kernels(flat_needed_writable=True)
-            if jit is not None:
-                module, flat = jit
-                a, b, offsets, r_u64, mask, use_mask = self._jit_args
-                module.cm_insert(
-                    flat,
-                    _keys_as_u64(keys),
-                    np.ascontiguousarray(values),
-                    a,
-                    b,
-                    offsets,
-                    r_u64,
-                    mask,
-                    use_mask,
-                )
-            else:
-                fi = self._flat_indices(keys)
-                # Always bincount, matching the legacy per-table path exactly.
-                self._store.scatter_add(
-                    fi.ravel(),
-                    np.broadcast_to(values, fi.shape).ravel(),
-                    use_bincount=True,
-                )
+            fi = self._flat_indices(keys)
+            # Always bincount, matching the legacy per-table path exactly.
+            self._store.scatter_add(
+                fi.ravel(),
+                np.broadcast_to(values, fi.shape).ravel(),
+                use_bincount=True,
+            )
         if self.cap is not None:
             np.minimum(self.table, self.cap, out=self.table)
 
@@ -205,15 +150,6 @@ class CountMinSketch(ValueSketch):
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.empty(0, dtype=np.float64)
-        jit = self._jit_kernels(flat_needed_writable=False)
-        if jit is not None:
-            module, flat = jit
-            a, b, offsets, r_u64, mask, use_mask = self._jit_args
-            out = np.empty(keys.size, dtype=np.float64)
-            module.cm_query(
-                flat, _keys_as_u64(keys), a, b, offsets, r_u64, mask, use_mask, out
-            )
-            return out
         gathered = self._store.gather(self._flat_indices(keys))
         return np.min(gathered, axis=0)
 

@@ -1,28 +1,33 @@
-"""The compiled-or-numpy decision for the fused sketch hot paths.
+"""The compiled-or-numpy decision for the count-sketch hot paths.
 
 The scatter/gather/median loop is the entire ingest and query cost of the
 system, so it is worth compiling.  This package holds the two
 implementations of the hot primitives and is the only module that knows
 which one runs:
 
-* :mod:`repro.sketch.kernels.numpy_ref` — the executable specification.
-  Standalone numpy implementations of the fused primitives (combined
-  multiply-shift bucket+sign hashing, flat-table scatter-insert,
-  single-gather + min/max-network median query, combined
-  ``insert_and_query``) with exactly the layout and summation order the
-  sketches use inline.  Tests pin the inline paths against this module.
-* :mod:`repro.sketch.kernels.numba_jit` — the same primitives compiled
-  with numba.  Identical ``(K*R,)`` flat layout, identical uint64 hash
-  arithmetic, identical accumulation order, so results are bit-identical
-  to the numpy path (the conformance suite enforces this per path).
+* :mod:`repro.sketch.kernels.numpy_ref` — the numpy path's primitives.
+  :class:`~repro.sketch.CountSketch` runs its sign application and
+  min/max-network median on every numpy-path insert and query; the
+  flat-argument ``cs_insert``/``cs_query``/``cs_insert_and_query``
+  compose them with the combined multiply-shift hash and
+  :func:`~repro.sketch.base.scatter_add_flat`, and state the contract
+  (layout, hash arithmetic, summation order) the compiled module meets.
+* :mod:`repro.sketch.kernels.numba_jit` — the same ``cs_*`` kernels
+  compiled with numba.  Identical ``(K*R,)`` flat layout, identical
+  uint64 hash arithmetic, identical accumulation order, so results are
+  bit-identical to the numpy path (the conformance suite enforces this
+  per path).
+
+Count-min has no compiled path: :class:`~repro.sketch.CountMinSketch`
+always runs numpy.
 
 Path selection
 --------------
-There is no option to set.  A sketch takes the compiled path whenever
-numba is importable (:func:`numba_kernels` returns the module) and its
-configuration is eligible: the fused multiply-shift family, float64
-counters that are not memory-mapped.  Every other case — numba not
-installed, a non-fused hash family, quantized or widened storage,
+There is no option to set.  A count sketch takes the compiled path
+whenever numba is importable (:func:`numba_kernels` returns the module)
+and its configuration is eligible: the fused multiply-shift family,
+float64 counters that are not memory-mapped.  Every other case — numba
+not installed, a non-fused hash family, quantized or widened storage,
 serving snapshots — runs the numpy path.  Both paths compute the same
 estimates bit for bit, so the choice changes throughput only.
 

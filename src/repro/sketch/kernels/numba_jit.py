@@ -1,11 +1,13 @@
-"""Numba-compiled fused sketch kernels.
+"""Numba-compiled count-sketch kernels.
 
 Importing this module requires numba; import it through
 :func:`repro.sketch.kernels.numba_kernels`, which treats any import
 failure as "numba unavailable" so sketches take the numpy path.
 
-Every kernel implements the contract documented in
-:mod:`repro.sketch.kernels.numpy_ref` with **bit-identical** results:
+``cs_insert``, ``cs_query`` and ``cs_insert_and_query`` take the same
+flat arguments as their counterparts in
+:mod:`repro.sketch.kernels.numpy_ref` — the numpy path's primitives —
+and return **bit-identical** results:
 
 * the same flat ``(K*R,)`` float64 layout (``flat[e*R + b]``);
 * the same uint64 multiply-shift arithmetic (wrap-around multiply,
@@ -171,36 +173,3 @@ def cs_insert_and_query(
         flat, keys, values, a, b, offsets, num_buckets, mask, use_mask, use_bincount
     )
     cs_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out)
-
-
-@njit(cache=True)
-def cm_insert(flat, keys, values, a, b, offsets, num_buckets, mask, use_mask):
-    num_tables = offsets.shape[0]
-    n = keys.shape[0]
-    acc = np.zeros(flat.shape[0], dtype=np.float64)
-    for e in range(num_tables):
-        a_bucket = a[e]
-        b_bucket = b[e]
-        offset = offsets[e]
-        for i in range(n):
-            w = (keys[i] * a_bucket + b_bucket) >> _U32
-            bucket = _bucket_of(w, num_buckets, mask, use_mask)
-            acc[offset + bucket] += values[i]
-    for j in range(flat.shape[0]):
-        flat[j] += acc[j]
-
-
-@njit(cache=True)
-def cm_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out):
-    num_tables = offsets.shape[0]
-    n = keys.shape[0]
-    for i in range(n):
-        key = keys[i]
-        w = (key * a[0] + b[0]) >> _U32
-        best = flat[offsets[0] + _bucket_of(w, num_buckets, mask, use_mask)]
-        for e in range(1, num_tables):
-            w = (key * a[e] + b[e]) >> _U32
-            best = _fmin(
-                best, flat[offsets[e] + _bucket_of(w, num_buckets, mask, use_mask)]
-            )
-        out[i] = best

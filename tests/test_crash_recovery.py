@@ -485,6 +485,12 @@ class TestMalformedBatchesNeverJournalled:
         "inf-value": [(np.array([1, 2]), np.array([np.inf, 2.0]))],
         "misaligned": [(np.array([1, 2, 3]), np.array([1.0, 2.0]))],
         "two-dimensional": [(np.array([[1, 2]]), np.array([[1.0, 2.0]]))],
+        "float-index": [(np.array([1.5, 2.7]), np.array([1.0, 2.0]))],
+        "negative-fraction-index": [([-0.5], [1.0])],
+        "string-index": [(["3"], [1.0])],
+        "bool-index": [([True], [1.0])],
+        "index-overflows-int64": [([10**20], [1.0])],
+        "string-value": [([3], ["3"])],
     }
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))

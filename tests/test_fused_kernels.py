@@ -24,7 +24,7 @@ from repro.reference import (
     legacy_sparse_batch_pairs,
 )
 from repro.sketch.count_min import CountMinSketch
-from repro.sketch.count_sketch import CountSketch, _median_axis0
+from repro.sketch.count_sketch import CountSketch
 from repro.sketch.kernels import available_backends, numba_available, numpy_ref
 from repro.sketch.topk import TopKTracker
 
@@ -211,22 +211,10 @@ def _cs_hash_args(sk):
     )
 
 
-def _cm_hash_args(cm):
-    mask = cm._hasher._bucket_mask
-    return (
-        cm._hasher._bucket._a.ravel(),
-        cm._hasher._bucket._b.ravel(),
-        cm._offsets_u64.ravel(),
-        np.uint64(cm.num_buckets),
-        np.uint64(0) if mask is None else mask,
-        mask is not None,
-    )
-
-
 class TestKernelModuleParity:
-    """``numpy_ref`` is the executable spec of the kernel contract: it must
-    replicate the inline sketch paths bit-for-bit, so the compiled module
-    only ever needs comparing against it."""
+    """``numpy_ref``'s flat-argument kernels state the kernel contract: they
+    must replicate the sketch's own path bit-for-bit, so the compiled
+    module only ever needs comparing against them."""
 
     @pytest.mark.parametrize("num_buckets", [1024, 1000])  # pow2 and not
     @pytest.mark.parametrize("num_tables", [1, 3, 5])
@@ -252,12 +240,14 @@ class TestKernelModuleParity:
                 keys.size * 16 >= num_buckets,
             )
         np.testing.assert_array_equal(flat, sk._flat)
-        probe = rng.integers(0, 10**12, size=513)
-        out = np.empty(probe.size)
-        numpy_ref.cs_query(
-            flat, probe.view(np.uint64), a, b, off, r_u64, mask, use_mask, out
-        )
-        np.testing.assert_array_equal(out, sk.query(probe))
+        # 9000 keys pass the np.where sign crossover: both branches pinned.
+        for size in (513, 9000):
+            probe = rng.integers(0, 10**12, size=size)
+            out = np.empty(probe.size)
+            numpy_ref.cs_query(
+                flat, probe.view(np.uint64), a, b, off, r_u64, mask, use_mask, out
+            )
+            np.testing.assert_array_equal(out, sk.query(probe))
         live_keys = rng.integers(0, 10**12, size=300)
         live_values = rng.standard_normal(300)
         est = sk.insert_and_query(live_keys, live_values)
@@ -278,39 +268,12 @@ class TestKernelModuleParity:
         np.testing.assert_array_equal(flat, sk._flat)
         np.testing.assert_array_equal(out_live, est)
 
-    @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng, kernel_path):
-        kernel_path("numpy")
-        cm = CountMinSketch(3, num_buckets, seed=19)
-        a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
-        flat = np.zeros(3 * num_buckets)
-        for keys, values in _key_batches(rng):
-            cm.insert(keys, np.abs(values))
-            numpy_ref.cm_insert(
-                flat,
-                keys.view(np.uint64),
-                np.abs(values),
-                a,
-                b,
-                off,
-                r_u64,
-                mask,
-                use_mask,
-            )
-        np.testing.assert_array_equal(flat, cm._flat)
-        probe = rng.integers(0, 10**12, size=333)
-        out = np.empty(probe.size)
-        numpy_ref.cm_query(
-            flat, probe.view(np.uint64), a, b, off, r_u64, mask, use_mask, out
-        )
-        np.testing.assert_array_equal(out, cm.query(probe))
-
 
 @needs_numba
 class TestNumbaModuleParity:
     """The compiled module must replicate ``numpy_ref`` bit-for-bit: both
-    accumulation strategies, both bucket-range reductions, every median
-    network, and the min-reduce — same flat layout, same summation order."""
+    accumulation strategies, both bucket-range reductions and every median
+    network — same flat layout, same summation order."""
 
     @pytest.mark.parametrize("num_buckets", [512, 500])
     @pytest.mark.parametrize("num_tables", [1, 3, 5])
@@ -329,13 +292,15 @@ class TestNumbaModuleParity:
                 numpy_ref.cs_insert(flat_np, *args, use_mask, use_bincount)
                 numba_jit.cs_insert(flat_nb, *args, use_mask, use_bincount)
                 np.testing.assert_array_equal(flat_nb, flat_np)
-        probe = rng.integers(0, 10**12, size=777)
-        out_np = np.empty(probe.size)
-        out_nb = np.empty(probe.size)
-        query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
-        numpy_ref.cs_query(flat_np, *query_args, out_np)
-        numba_jit.cs_query(flat_nb, *query_args, out_nb)
-        np.testing.assert_array_equal(out_nb, out_np)
+        # 9000 keys pass the np.where sign crossover: both branches pinned.
+        for size in (777, 9000):
+            probe = rng.integers(0, 10**12, size=size)
+            out_np = np.empty(probe.size)
+            out_nb = np.empty(probe.size)
+            query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
+            numpy_ref.cs_query(flat_np, *query_args, out_np)
+            numba_jit.cs_query(flat_nb, *query_args, out_nb)
+            np.testing.assert_array_equal(out_nb, out_np)
         live_keys = rng.integers(0, 10**12, size=300)
         live_values = rng.standard_normal(300)
         live_np = np.empty(live_keys.size)
@@ -345,27 +310,6 @@ class TestNumbaModuleParity:
         numba_jit.cs_insert_and_query(flat_nb, *live_args, use_mask, True, live_nb)
         np.testing.assert_array_equal(flat_nb, flat_np)
         np.testing.assert_array_equal(live_nb, live_np)
-
-    @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_cm_kernels_bit_identical(self, num_buckets, rng):
-        from repro.sketch.kernels import numba_jit
-
-        cm = CountMinSketch(3, num_buckets, seed=29)
-        a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
-        flat_np = np.zeros(3 * num_buckets)
-        flat_nb = np.zeros(3 * num_buckets)
-        for keys, values in _key_batches(rng):
-            args = (keys.view(np.uint64), np.abs(values), a, b, off, r_u64, mask)
-            numpy_ref.cm_insert(flat_np, *args, use_mask)
-            numba_jit.cm_insert(flat_nb, *args, use_mask)
-            np.testing.assert_array_equal(flat_nb, flat_np)
-        probe = rng.integers(0, 10**12, size=333)
-        out_np = np.empty(probe.size)
-        out_nb = np.empty(probe.size)
-        query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
-        numpy_ref.cm_query(flat_np, *query_args, out_np)
-        numba_jit.cm_query(flat_nb, *query_args, out_nb)
-        np.testing.assert_array_equal(out_nb, out_np)
 
     def test_median_networks_handle_ties_and_nans(self, rng):
         from repro.sketch.kernels import numba_jit
@@ -390,16 +334,22 @@ class TestMedianKernel:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_matches_np_median_odd(self, k, rng):
         est = rng.standard_normal((k, 513))
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(
+            numpy_ref.median_network(est), np.median(est, axis=0)
+        )
 
     def test_matches_np_median_with_ties(self, rng):
         est = rng.integers(-2, 3, size=(5, 400)).astype(np.float64)
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(
+            numpy_ref.median_network(est), np.median(est, axis=0)
+        )
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_k_falls_back_to_average(self, k, rng):
         est = rng.standard_normal((k, 100))
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(
+            numpy_ref.median_network(est), np.median(est, axis=0)
+        )
 
 
 class TestCountMinEquivalence:

@@ -25,7 +25,7 @@ from repro.hashing.pairs import (
     num_pairs,
     pair_to_index,
 )
-from repro.serving import QueryEngine, SketchSnapshot
+from repro.serving import QueryEngine, ServingEstimator, SketchSnapshot
 from repro.serving.http import serve_in_background
 from repro.sketch import CountSketch
 
@@ -176,6 +176,74 @@ class TestHTTPAdversarial:
     def test_garbage_params_are_400_not_500(self, capped_server):
         assert _status(capped_server, "/top?k=banana") == 400
         assert _status(capped_server, "/above?threshold=") == 400
+
+
+def _post_status(server, path: str, body: dict) -> int:
+    request = urllib.request.Request(
+        f"{server.url}{path}",
+        data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        urllib.request.urlopen(request).close()
+    except urllib.error.HTTPError as err:
+        return err.code
+    return 200
+
+
+@pytest.fixture
+def ingest_server():
+    estimator = SketchEstimator(CountSketch(3, 256, seed=5), 64, track_top=8)
+    sketcher = CovarianceSketcher(DIM, estimator, batch_size=8)
+    server, _thread = serve_in_background(ServingEstimator(sketcher, top_index=8))
+    yield server
+    server.stop()
+
+
+class TestHTTPIndexBodies:
+    """POST bodies whose indices are not integers: a cast used to truncate
+    them into valid-looking features (or overflow into a 500)."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"i": [1.7], "j": [2.2]},
+            {"keys": [1.5]},
+            {"keys": ["3"]},
+            {"keys": [True]},
+            {"keys": [99999999999999999999]},
+            {"keys": [1e30]},
+        ],
+    )
+    def test_query_non_integer_indices_are_400(self, capped_server, body):
+        assert _post_status(capped_server, "/query", body) == 400
+
+    def test_query_integer_and_empty_bodies_still_served(self, capped_server):
+        assert _post_status(capped_server, "/query", {"i": [1], "j": [2]}) == 200
+        assert _post_status(capped_server, "/query", {"keys": []}) == 200
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            [[1.5, 2.7], [1.0, 2.0]],
+            [[-0.5], [1.0]],
+            [["3"], [1.0]],
+            [[True], [1.0]],
+            [[3], ["3"]],
+            [[99999999999999999999], [1.0]],
+            [[1e30], [1.0]],
+        ],
+    )
+    def test_ingest_non_integer_indices_are_400(self, ingest_server, sample):
+        body = {"samples": [[[1, 2], [1.0, 1.0]], sample]}
+        assert _post_status(ingest_server, "/ingest", body) == 400
+        assert ingest_server.serving.sketcher.samples_seen == 0
+
+    def test_ingest_empty_sample_accepted(self, ingest_server):
+        body = {"samples": [[[], []], [[1, 2], [1.0, 1.0]]]}
+        assert _post_status(ingest_server, "/ingest", body) == 200
+        assert ingest_server.serving.sketcher.samples_seen == 2
 
 
 def _row_offset(i: int, d: int) -> int:

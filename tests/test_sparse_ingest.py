@@ -206,6 +206,12 @@ MALFORMED = {
     "two-dimensional": [(np.array([[1, 2]]), np.array([[1.0, 2.0]]))],
     "not-numeric": [(np.array(["a", "b"]), np.array([1.0, 2.0]))],
     "index-overflows-int64": [([10**30, 1], [1.0, 2.0])],
+    "float-index": [(np.array([1.5, 2.7]), np.array([1.0, 2.0]))],
+    "negative-fraction-index": [([-0.5], [1.0])],
+    "string-index": [(["3"], [1.0])],
+    "bool-index": [([True], [1.0])],
+    "huge-float-index": [([1e30], [1.0])],
+    "string-value": [([3], ["3"])],
     "not-a-pair": [(np.array([1, 2]),)],
 }
 
@@ -261,3 +267,6 @@ class TestFrontDoor:
         assert indices.dtype == np.int64 and values.dtype == np.float64
         empty = validate_samples([], 10)
         assert [a.size for a in empty] == [0, 0, 0]
+        # An empty sample passes whatever dtype its lists default to.
+        untyped = validate_samples([([], [])], 10)
+        assert [a.size for a in untyped] == [0, 0, 1]
